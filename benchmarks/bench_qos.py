@@ -20,9 +20,14 @@ Run directly::
 Soft regression gate (CI): compare a fresh sweep against the committed
 baseline and fail when any row's *overhead ratio* (QoS-governed time
 over overload-only time — machine-independent, unlike absolute
-seconds) grew by more than 30%::
+seconds) grew by more than 30%, or when the warm pool's host time per
+device-slot (``pool_us``, fluid rows) grows more than 1.5x from the
+smallest to the largest swept fleet — a scaling-shape check that needs
+no baseline, so a super-linear warm pool fails it even if it was
+committed::
 
-    PYTHONPATH=src python benchmarks/bench_qos.py --check BENCH_qos.json
+    PYTHONPATH=src python benchmarks/bench_qos.py --devices 100 1000 \
+        --check BENCH_qos.json
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +47,7 @@ if str(REPO_ROOT) not in sys.path:  # for `tests.helpers` when run as a script
 
 from repro.core.offloading import FixedRatioPolicy
 from repro.resilience.overload import OverloadControl
-from repro.resilience.qos import QoSConfig
+from repro.resilience.qos import QoSConfig, QoSState
 from repro.sim.arrivals import TraceArrivals
 from repro.sim.events import EventSimulator
 from repro.sim.simulator import SlotSimulator
@@ -59,6 +65,14 @@ BURST_MAGNITUDE = 10.0
 SCALAR_CHECK_MAX_DEVICES = 100
 #: Allowed relative growth in a row's overhead ratio before --check fails.
 REGRESSION_TOLERANCE = 0.30
+#: Allowed growth of the warm pool's time per device-slot from the
+#: smallest to the largest fleet of one sweep (from 100 to 1000 devices
+#: a linear pool reads ~0.7x, a pool that re-sums its resident set per
+#: cold load ~3.5x).
+SHAPE_TOLERANCE = 1.5
+#: Fluid rows time each run this many times and keep the fastest, so a
+#: sub-second row is not one sample of the host's speed.
+FLUID_REPEATS = 3
 
 #: The QoS layer under test: a real memory budget (so the warm pool
 #: evicts and reloads throughout the burst) and a shed budget (so the
@@ -112,6 +126,27 @@ def _event_run(
     return time.perf_counter() - start, result
 
 
+@contextmanager
+def _timed_pool():
+    """Accumulate the host seconds spent in ``QoSState.on_slot`` while
+    the context is open (into the yielded one-element list)."""
+    spent = [0.0]
+    original = QoSState.on_slot
+
+    def on_slot(self, *args):
+        start = time.perf_counter()
+        try:
+            return original(self, *args)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    QoSState.on_slot = on_slot
+    try:
+        yield spent
+    finally:
+        QoSState.on_slot = original
+
+
 def _fluid_run(n: int, slots: int, qos: bool, seed: int):
     sim = SlotSimulator(
         system=_scaled_fleet(n, seed),
@@ -124,6 +159,18 @@ def _fluid_run(n: int, slots: int, qos: bool, seed: int):
     start = time.perf_counter()
     result = sim.run(FixedRatioPolicy(0.5), slots)
     return time.perf_counter() - start, result
+
+
+def _best_fluid_run(n: int, slots: int, qos: bool, seed: int):
+    """Fastest of :data:`FLUID_REPEATS` identical fluid runs, with the
+    warm-pool seconds of that fastest run."""
+    best = None
+    for _ in range(FLUID_REPEATS):
+        with _timed_pool() as pool:
+            elapsed, result = _fluid_run(n, slots, qos, seed)
+        if best is None or elapsed < best[0]:
+            best = (elapsed, result, pool[0])
+    return best
 
 
 def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
@@ -180,8 +227,8 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
                 "diverged — refusing to write benchmark results"
             )
 
-        qos_s, fq = _fluid_run(n, slots, qos=True, seed=seed)
-        base_s, _ = _fluid_run(n, slots, qos=False, seed=seed)
+        qos_s, fq, pool_s = _best_fluid_run(n, slots, qos=True, seed=seed)
+        base_s, _, _ = _best_fluid_run(n, slots, qos=False, seed=seed)
         flow = fq.class_flow
         conserved = flow is not None and math.isclose(
             sum(flow.generated),
@@ -198,6 +245,7 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
             "qos_s": round(qos_s, 3),
             "baseline_s": round(base_s, 3),
             "overhead": round(qos_s / base_s, 3),
+            "pool_us": round(pool_s / (n * slots) * 1e6, 3),
             "identity": conserved,
             "exact": None,
         }
@@ -206,7 +254,7 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
             f"fluid  {n:>6} devices: {row['tasks']:>7} tasks, "
             f"qos {qos_s:7.3f}s, overload-only {base_s:7.3f}s, "
             f"overhead {row['overhead']:5.3f}x, shed {row['shed']}, "
-            f"conserved={conserved}"
+            f"pool {row['pool_us']:.2f}us/device-slot, conserved={conserved}"
         )
         if not conserved:
             raise SystemExit(
@@ -216,15 +264,41 @@ def sweep(device_counts: list[int], slots: int, seed: int = 0) -> list[dict]:
     return rows
 
 
+def shape_failures(rows: list[dict]) -> list[str]:
+    """Scaling-shape gate: the warm pool's time per device-slot may
+    grow at most :data:`SHAPE_TOLERANCE`x from the smallest to the
+    largest fluid fleet of this sweep."""
+    pool = {
+        r["devices"]: r["pool_us"]
+        for r in rows
+        if r["path"] == "fluid" and r.get("pool_us")
+    }
+    if len(pool) < 2:
+        return []
+    small, large = min(pool), max(pool)
+    growth = pool[large] / pool[small]
+    print(
+        f"warm pool {pool[small]:.2f} -> {pool[large]:.2f} us/device-slot "
+        f"from {small} to {large} devices ({growth:.2f}x)"
+    )
+    if growth > SHAPE_TOLERANCE:
+        return [
+            f"warm pool time per device-slot grew {growth:.2f}x from "
+            f"{small} to {large} devices (> {SHAPE_TOLERANCE}x)"
+        ]
+    return []
+
+
 def check(baseline_path: Path, rows: list[dict]) -> int:
     """Soft regression gate: fail when a row's qos/overload-only
     overhead ratio grew >30% against the committed baseline (matched on
-    path × devices)."""
+    path × devices), or on a super-linear warm pool
+    (:func:`shape_failures`)."""
     baseline = json.loads(baseline_path.read_text())
     by_key = {
         (r["path"], r["devices"]): r for r in baseline.get("results", [])
     }
-    failures = []
+    failures = shape_failures(rows)
     for row in rows:
         base = by_key.get((row["path"], row["devices"]))
         if base is None or base.get("overhead") is None:
@@ -242,7 +316,10 @@ def check(baseline_path: Path, rows: list[dict]) -> int:
     if failures:
         print("REGRESSION: " + "; ".join(failures))
         return 1
-    print("overhead ratios within tolerance of the committed baseline")
+    print(
+        "overhead ratios within tolerance of the committed baseline, "
+        "warm pool scales linearly"
+    )
     return 0
 
 
@@ -268,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="BASELINE",
         help="compare overhead ratios against this committed baseline "
-        "instead of overwriting it; exit 1 on a >30%% growth",
+        "instead of overwriting it; exit 1 on a >30%% growth or a "
+        "super-linear warm pool",
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

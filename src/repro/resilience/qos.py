@@ -66,6 +66,10 @@ _JITTER_SALT = 0x51A5C2
 #: fleet's total footprint.
 _BYTES_PER_FLOP = 2.0
 
+#: Twice the unit roundoff of a float64 sum: the warm pool's rounding
+#: bounds use it so every bound holds with a factor-2 margin.
+_EPS = 2.0**-52
+
 
 @dataclass(frozen=True)
 class QoSClass:
@@ -296,6 +300,31 @@ class QoSState:
         self.shed_spent = 0.0
         self.cold_hits = 0
         self.evictions = 0
+        self._derive_caches()
+
+    # -- derived caches (never pickled) --------------------------------------
+
+    #: Attributes rebuilt from the pickled state by
+    #: :meth:`_derive_caches`, so checkpoints carry exactly the
+    #: configuration, classes, footprints, residency and counters.
+    _CACHES = ("_weight", "_limit", "_fp_scale", "_used_total", "_used_err")
+
+    def _derive_caches(self) -> None:
+        classes = self.config.classes
+        self._weight = [classes[c].weight for c in self.class_of]
+        self._limit = self.budget + 1e-9
+        # Bounds the magnitude of every resident subset's footprint sum.
+        self._fp_scale = sum(abs(f) for f in self.footprints)
+        self._resync_used()
+
+    def __getstate__(self) -> dict:
+        return {
+            k: v for k, v in self.__dict__.items() if k not in self._CACHES
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_caches()
 
     # -- class helpers -------------------------------------------------------
 
@@ -348,6 +377,36 @@ class QoSState:
     def _used(self) -> float:
         return sum(self.footprints[i] for i in self.resident)
 
+    def _resync_used(self) -> float:
+        """Reset the running resident total to :meth:`_used` (the
+        float sum in residency order) with its rounding bound."""
+        self._used_total = self._used()
+        self._used_err = (len(self.resident) + 1) * _EPS * self._fp_scale
+        return self._used_total
+
+    def _over_budget(self, need: float) -> bool:
+        """Exactly ``self._used() + need > self.budget + 1e-9``.
+
+        Decided from the running total when it lies farther from the
+        limit than the rounding of both sums can reach; otherwise the
+        resident set is re-summed in residency order, as :meth:`_used`
+        does, so the comparison never depends on float drift."""
+        gap = self._used_total + need - self._limit
+        slack = self._used_err + (len(self.resident) + 4) * _EPS * (
+            self._fp_scale + abs(need) + abs(self._limit)
+        )
+        if gap > slack:
+            return True
+        if gap < -slack:
+            return False
+        return self._resync_used() + need > self._limit
+
+    def _account(self, delta: float) -> None:
+        """Move the running total by one load or eviction."""
+        total = self._used_total + delta
+        self._used_total = total
+        self._used_err += _EPS * abs(total)
+
     def requested_mask(
         self, expected: Sequence[float], modes: Sequence[int]
     ) -> list[bool]:
@@ -362,45 +421,61 @@ class QoSState:
         self, slot: int, w0: float, requested: Sequence[bool]
     ) -> list[float]:
         """Advance the warm pool one slot; return per-device absolute
-        warm times (``<= w0`` means already warm — no hold)."""
+        warm times (``<= w0`` means already warm — no hold).
+
+        Costs O(R log R + M log M) for R requested and M resident
+        devices.  The eviction order is sorted once, at the slot's first
+        eviction, and walked with a monotone cursor: within a slot the
+        pinned set only grows, unpinned residents keep their last-used
+        slot, and every new resident is pinned at once, so the suffix
+        past the cursor minus the pinned devices is exactly the order a
+        fresh sort would give."""
         holds = [w0] * self.num_devices
         self.loads_this_slot = []
+        weight = self._weight
+        resident = self.resident
         order = sorted(
             (i for i in range(self.num_devices) if requested[i]),
-            key=lambda i: (-self.class_at(i).weight, i),
+            key=lambda i: (-weight[i], i),
         )
         pinned: set[int] = set()
+        victims: list[int] | None = None
+        cursor = 0
         for i in order:
-            if i in self.resident:
-                self.resident[i] = slot
+            if i in resident:
+                resident[i] = slot
                 pinned.add(i)
                 holds[i] = self.ready_at.get(i, w0)
                 continue
             need = self.footprints[i]
-            if self._used() + need > self.budget + 1e-9:
-                victims = sorted(
-                    (j for j in self.resident if j not in pinned),
-                    key=lambda j: (
-                        self.class_at(j).weight,
-                        self.resident[j],
-                        j,
-                    ),
-                )
-                for j in victims:
-                    if self._used() + need <= self.budget + 1e-9:
+            if self._over_budget(need):
+                if victims is None:
+                    victims = sorted(
+                        (j for j in resident if j not in pinned),
+                        key=lambda j: (weight[j], resident[j], j),
+                    )
+                while cursor < len(victims):
+                    j = victims[cursor]
+                    if j in pinned:
+                        cursor += 1
+                        continue
+                    if not self._over_budget(need):
                         break
-                    del self.resident[j]
+                    cursor += 1
+                    del resident[j]
                     self.ready_at.pop(j, None)
                     self.evictions += 1
+                    self._account(-self.footprints[j])
             self.cold_hits += 1
             warm_time = w0 + self.load_seconds[i]
             self.loads_this_slot.append((i, self.load_seconds[i]))
-            if self._used() + need > self.budget + 1e-9 and pinned:
+            if pinned and self._over_budget(need):
                 # The pinned (higher-priority) set fills the budget: a
                 # transient load — serve cold, retain nothing.
                 holds[i] = warm_time
                 continue
-            self.resident[i] = slot
+            resident[i] = slot
+            self._account(need)
             self.ready_at[i] = warm_time
             pinned.add(i)
             holds[i] = warm_time
@@ -412,6 +487,7 @@ class QoSState:
         self.resident.clear()
         self.ready_at.clear()
         self.loads_this_slot = []
+        self._resync_used()
 
     def share_scales(
         self, holds: Sequence[float], w0: float, tau: float
@@ -483,14 +559,20 @@ def degrade_system_by_modes(
     """The fluid system a per-device rung vector deploys: a uniform
     vector goes through :func:`~repro.resilience.overload.
     degrade_system` (byte-identical to the PR 5 path); a mixed one pins
-    per-device partitions to each device's rung."""
+    per-device partitions to each device's rung.  Devices sharing a base
+    partition and a rung share one degraded partition."""
     if all(m == modes[0] for m in modes):
         return degrade_system(system, modes[0])
-    parts = tuple(
-        degrade_partition(system.partition_for(i), m)
-        for i, m in enumerate(modes)
-    )
-    return replace(system, device_partitions=parts)
+    degraded: dict[tuple[int, int], "PartitionedModel"] = {}
+    parts = []
+    for i, m in enumerate(modes):
+        base = system.partition_for(i)
+        key = (id(base), m)
+        part = degraded.get(key)
+        if part is None:
+            part = degraded[key] = degrade_partition(base, m)
+        parts.append(part)
+    return replace(system, device_partitions=tuple(parts))
 
 
 class QoSFlow:
